@@ -1,18 +1,23 @@
-"""Reduced network-chaos sweep (CI runs the full grid via
-``python -m repro.testing.chaos --network``).
+"""Reduced chaos sweeps (CI runs the full grids via
+``python -m repro.testing.chaos [--network | --ingest]``).
 
-Each case asserts the wire invariant end-to-end: an injected network
-fault yields a clean typed client error or a digest byte-identical to
-the in-process oracle, no worker slot leaks, and the same server
-recovers immediately afterwards.
+Each network case asserts the wire invariant end-to-end: an injected
+network fault yields a clean typed client error or a digest
+byte-identical to the in-process oracle, no worker slot leaks, and the
+same server recovers immediately afterwards.  The ``--quick`` runs
+drive every surface's whole runner -- grid, blocks and record -- on the
+reduced strategy grid.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.core.runner import RunConfig
 from repro.service import Engine, ServerConfig, ServerThread
+from repro.testing import chaos
 from repro.testing.chaos import (
     CHAOS_PARTITION_ROWS,
     NETWORK_CASES,
@@ -98,3 +103,32 @@ def test_graceful_drain_under_concurrent_load(world):
         for o in block["outcomes"]
     )
     assert block["slots_clean"]
+
+
+@pytest.mark.parametrize(
+    "surface_flags", [[], ["--network"], ["--ingest"]],
+    ids=["engine", "network", "ingest"],
+)
+def test_quick_sweep_clean(tmp_path, surface_flags):
+    out = tmp_path / "chaos.json"
+    argv = [*surface_flags, "--quick", "--sf", str(SF), "--json", str(out)]
+    assert chaos.main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["violations"] == 0
+    assert payload["cases"]
+    for cell in payload["cases"]:
+        assert cell["ok"], cell
+        # A cell whose fault never fired proves nothing.  The one
+        # legitimate exception: nopredtrans builds no filter, so a
+        # filter-build fault has nothing to hit under it.
+        filterless = (
+            cell.get("strategy") == "nopredtrans" and "filter" in cell["case"]
+        )
+        assert cell["faults_triggered"] >= 1 or filterless, cell
+    if surface_flags == ["--ingest"]:
+        # Reads are accepted against their own strategy's committed
+        # prefix snapshots; the check is vacuous unless those digests
+        # are pairwise distinct.
+        assert payload["snapshots"]["ok"]
+        for digests in payload["oracle_digests"].values():
+            assert len(set(digests)) == len(digests) == chaos.INGEST_BATCHES + 1
